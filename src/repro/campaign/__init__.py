@@ -6,11 +6,12 @@ budgets with retry backoff, partial-trace salvage, JSON checkpoints for
 resume, merged deduplicated findings, and graceful degradation to a
 clearly-flagged static-only report when every dynamic run fails.
 
-On top of that sits the **durable service layer**: an append-only
-CRC-checked journal (:mod:`.journal`), a crash-safe work queue with
-time-bounded leases and poison-cell quarantine (:mod:`.queue`), a
-supervisor that restarts killed workers (:mod:`.supervisor`), and a
-spool-directory server streaming partial reports (:mod:`.serve`).
+Every campaign and fuzz session runs its cells on one path: a work
+queue with time-bounded leases and poison-cell quarantine, drained by
+:func:`~.queue.run_cells` inline or on a supervisor that restarts
+killed workers (:mod:`.supervisor`).  An optional append-only
+CRC-checked journal (:mod:`.journal`) makes the queue crash-safe, and a
+spool-directory server streams partial reports (:mod:`.serve`).
 """
 
 from .checkpoint import (
@@ -40,8 +41,14 @@ from .outcome import (
     violation_from_dict,
     violation_to_dict,
 )
-from .parallel import CellTask, resolve_jobs
-from .queue import DurableWorkQueue, Lease, cell_key
+from .queue import (
+    CellTask,
+    DurableWorkQueue,
+    Lease,
+    cell_key,
+    resolve_jobs,
+    run_cells,
+)
 from .runner import (
     CampaignConfig,
     CampaignResult,
@@ -52,7 +59,7 @@ from .runner import (
     run_campaign,
 )
 from .serve import CampaignService, ServeConfig, SPOOL_DIRS, serve
-from .supervisor import Supervisor, SupervisorConfig
+from .supervisor import Supervisor
 
 __all__ = [
     "CHECKPOINT_FORMAT",
@@ -80,7 +87,6 @@ __all__ = [
     "STATUS_QUARANTINED",
     "ServeConfig",
     "Supervisor",
-    "SupervisorConfig",
     "cell_key",
     "default_plan_matrix",
     "load_checkpoint",
@@ -89,6 +95,7 @@ __all__ = [
     "replay_journal",
     "resolve_jobs",
     "run_campaign",
+    "run_cells",
     "save_checkpoint",
     "SPOOL_DIRS",
     "serve",

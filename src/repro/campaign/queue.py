@@ -1,11 +1,11 @@
 """Crash-safe work queue for campaign cells.
 
 One :class:`DurableWorkQueue` owns the full canonical matrix of
-:class:`~.parallel.CellTask`\\ s and tracks each cell through
-``pending → leased → done`` (or ``quarantined``).  Every transition is
-journaled (:mod:`.journal`) *before* the in-memory state changes, so a
-coordinator killed at any instant — ``kill -9`` included — restores
-exactly by replaying the journal:
+:class:`CellTask`\\ s and tracks each cell through
+``pending → leased → done`` (or ``quarantined``).  With a journal, every
+transition is journaled (:mod:`.journal`) *before* the in-memory state
+changes, so a coordinator killed at any instant — ``kill -9`` included —
+restores exactly by replaying the journal:
 
 * a ``done`` record banks the outcome;
 * a ``lease`` with no matching ``done``/``release`` means the holder
@@ -19,16 +19,54 @@ Dedup is deterministic: cells are deterministic simulations, so when a
 reclaimed-then-completed cell delivers twice, the first recorded result
 wins and the duplicate is counted and dropped — both results are
 byte-identical, so arrival order cannot leak into artifacts.
+
+:func:`run_cells` is the one dispatch path for every campaign and fuzz
+session: it drains a queue (journaled or in-memory) inline when one
+worker suffices and on the :class:`~.supervisor.Supervisor` otherwise.
 """
 
 from __future__ import annotations
 
+import json
+import os
+import sys
+import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .journal import Journal, JournalReplay
+from ..errors import AnalysisError
+from ..faults import FaultPlan
+from .journal import Journal, JournalReplay, replay_journal
 from .outcome import STATUS_QUARANTINED, RunOutcome
-from .parallel import CellTask
+from .supervisor import Supervisor
+
+
+@dataclass(frozen=True)
+class CellTask:
+    """One (seed, plan) cell of the matrix, picklable for dispatch to a
+    worker process."""
+
+    #: canonical position in the matrix — outcomes are merged by this
+    #: index so parallel completion order never leaks into artifacts
+    index: int
+    seed: int
+    plan_name: str
+    plan: Optional[FaultPlan]
+
+
+def resolve_jobs(jobs, cells: int) -> int:
+    """Resolve a ``--jobs`` value to a concrete worker count.
+
+    ``"auto"``/``None``/``0`` mean one worker per CPU core; the result
+    is always capped by the number of runnable cells and floored at 1.
+    """
+    if jobs in (None, 0, "auto", ""):
+        resolved = os.cpu_count() or 1
+    else:
+        resolved = int(jobs)
+        if resolved < 1:
+            raise ValueError(f"--jobs must be >= 1 or 'auto', got {jobs!r}")
+    return max(1, min(resolved, max(cells, 1)))
 
 
 def cell_key(task: CellTask) -> str:
@@ -71,6 +109,12 @@ class DurableWorkQueue:
         self.crashes: Dict[int, int] = {}
         self._leases: Dict[int, Lease] = {}
         self._by_key = {cell_key(t): t for t in self.cells}
+        self._by_index = {t.index: t for t in self.cells}
+        #: cells neither done nor quarantined, and the position in
+        #: ``cells`` before which every cell is resolved: together they
+        #: keep a sweep's dispatch O(1) per cell instead of a rescan
+        self._unresolved = len(self.cells)
+        self._cursor = 0
 
     # -- journal helpers -----------------------------------------------------
 
@@ -118,6 +162,8 @@ class DurableWorkQueue:
                  "current matrix; ignoring them")
         self.outcomes = done
         self.quarantined = quarantined
+        self._unresolved = sum(1 for t in self.cells if not self.resolved(t.index))
+        self._cursor = 0
         self.crashes = {
             index: count - (1 if index in done else 0)
             for index, count in attempts.items()
@@ -135,22 +181,20 @@ class DurableWorkQueue:
         return index in self.outcomes or index in self.quarantined
 
     def all_resolved(self) -> bool:
-        return all(self.resolved(t.index) for t in self.cells)
+        return self._unresolved == 0
 
     @property
     def unresolved_count(self) -> int:
-        return sum(1 for t in self.cells if not self.resolved(t.index))
+        return self._unresolved
 
     def has_pending(self) -> bool:
         """Any cell neither resolved nor currently leased?"""
-        return any(
-            not self.resolved(t.index) and t.index not in self._leases
-            for t in self.cells
-        )
+        # leases are only ever held on unresolved cells
+        return self._unresolved > len(self._leases)
 
     def task_for(self, index: int) -> CellTask:
         """The cell with canonical matrix index *index*."""
-        return self._task(index)
+        return self._by_index[index]
 
     def outcome_list(self) -> List[RunOutcome]:
         """Resolved outcomes (completed + quarantined) in canonical
@@ -166,11 +210,17 @@ class DurableWorkQueue:
 
     # -- transitions ---------------------------------------------------------
 
-    def acquire(self, worker: str, now: float) -> Optional[Lease]:
-        """Lease the lowest-index available cell, or ``None``."""
-        for task in self.cells:
+    def acquire(self, worker: str, now: float,
+                skip: Collection[int] = ()) -> Optional[Lease]:
+        """Lease the lowest-index available cell whose index is not in
+        *skip*, or ``None``."""
+        while self._cursor < len(self.cells) \
+                and self.resolved(self.cells[self._cursor].index):
+            self._cursor += 1
+        for position in range(self._cursor, len(self.cells)):
+            task = self.cells[position]
             index = task.index
-            if self.resolved(index) or index in self._leases:
+            if self.resolved(index) or index in self._leases or index in skip:
                 continue
             attempt = self.crashes.get(index, 0) + 1
             self._log("lease", cell=cell_key(task), worker=worker,
@@ -196,9 +246,10 @@ class DurableWorkQueue:
         self._leases.pop(index, None)
         if self.resolved(index):
             return False
-        self._log("done", cell=cell_key(self._task(index)),
+        self._log("done", cell=cell_key(self.task_for(index)),
                   outcome=outcome.as_dict())
         self.outcomes[index] = outcome
+        self._unresolved -= 1
         return True
 
     def release(self, index: int) -> None:
@@ -220,7 +271,7 @@ class DurableWorkQueue:
             return False
         crashes = self.crashes.get(index, 0) + 1
         self.crashes[index] = crashes
-        self._log("reclaim", cell=cell_key(self._task(index)), crashes=crashes)
+        self._log("reclaim", cell=cell_key(self.task_for(index)), crashes=crashes)
         if crashes > self.poison_retries:
             self._quarantine(index)
             return True
@@ -237,14 +288,8 @@ class DurableWorkQueue:
 
     # -- internals -----------------------------------------------------------
 
-    def _task(self, index: int) -> CellTask:
-        for task in self.cells:
-            if task.index == index:
-                return task
-        raise KeyError(f"no cell with index {index}")
-
     def _quarantine(self, index: int) -> None:
-        task = self._task(index)
+        task = self.task_for(index)
         crashes = self.crashes.get(index, 0)
         # deterministic fields only: the quarantine record must be
         # byte-identical however (and whenever) the crashes happened
@@ -258,4 +303,135 @@ class DurableWorkQueue:
         self._log("quarantine", cell=cell_key(task), crashes=crashes,
                   outcome=outcome.as_dict())
         self.quarantined[index] = outcome
+        self._unresolved -= 1
         self._leases.pop(index, None)
+
+
+def warn_to(progress: Optional[Callable[[str], None]], message: str) -> None:
+    """One-line warning that reaches the user even without a progress
+    callback (e.g. a quiet ``--resume`` that found an unusable file)."""
+    if progress is not None:
+        progress(f"warning: {message}")
+    else:
+        print(f"warning: {message}", file=sys.stderr)
+
+
+def _open_queue(
+    tasks: Sequence[CellTask],
+    meta: Dict,
+    journal: Optional[str],
+    resume: bool,
+    lease_seconds: float,
+    poison_retries: int,
+    warn: Callable[[str], None],
+) -> DurableWorkQueue:
+    """Build the queue, restoring it from *journal* on a resume whose
+    header matches *meta*; anything else starts a fresh journal."""
+    replay = None
+    if journal and resume and os.path.exists(journal):
+        try:
+            replay = replay_journal(journal)
+        except AnalysisError as err:
+            warn(f"ignoring unusable journal: {err}; starting cold")
+        else:
+            # compare in the journal's own (JSON) form: tuples are lists
+            if replay.meta != json.loads(json.dumps(meta)):
+                warn("journal is for a different campaign; starting cold")
+                replay = None
+            elif replay.truncated:
+                warn(
+                    "journal tail was damaged (interrupted write?); "
+                    f"dropped {replay.dropped} trailing line(s) and "
+                    "kept the valid prefix"
+                )
+    work = DurableWorkQueue(
+        tasks,
+        Journal(journal, meta, fresh=replay is None) if journal else None,
+        lease_seconds=lease_seconds,
+        poison_retries=poison_retries,
+    )
+    if replay is not None:
+        work.restore(replay, warn=warn)
+    return work
+
+
+def run_cells(
+    executor,
+    tasks: Sequence[CellTask],
+    meta: Dict,
+    *,
+    jobs: "int | str" = 1,
+    journal: Optional[str] = None,
+    resume: bool = False,
+    lease_seconds: float = 60.0,
+    poison_retries: int = 2,
+    banked: Optional[Mapping[str, RunOutcome]] = None,
+    describe: Callable[[RunOutcome], str] = RunOutcome.describe,
+    on_complete: Optional[Callable[[DurableWorkQueue], None]] = None,
+    progress: Optional[Callable[[str], None]] = None,
+    stop=None,
+    drill_kill_worker_after: Optional[int] = None,
+) -> DurableWorkQueue:
+    """Run every cell of *tasks* through *executor*'s ``run_cell`` and
+    return the drained queue (``outcome_list()`` is the artifact).
+
+    With *journal* set every transition is journaled, and *resume*
+    restores the journal when its header carries *meta*.  Outcomes in
+    *banked* (keyed by :func:`cell_key`, e.g. from a checkpoint) are
+    folded in next; every cell resolved so far is announced as resumed.
+    The rest runs inline when one worker suffices and on a
+    :class:`Supervisor` of ``jobs`` disposable workers otherwise — if
+    the pool fails, the inline loop finishes what it left.  Each fresh
+    completion is announced through *progress* (``[n/total] ...``,
+    formatted by *describe*) and then reported to *on_complete*.  A set
+    *stop* event returns early with the unresolved cells left pending.
+    """
+    say = progress or (lambda _message: None)
+    work = _open_queue(
+        tasks, meta, journal, resume, lease_seconds, poison_retries,
+        lambda message: warn_to(progress, message),
+    )
+    # complete() journals each, so the journal converges to the union
+    # of both artifacts
+    for task in work.cells:
+        cached = banked.get(cell_key(task)) if banked else None
+        if cached is not None and not work.resolved(task.index):
+            work.complete(task.index, cached)
+    total = len(work.cells)
+    announced = 0
+
+    def announce(outcome: RunOutcome, suffix: str = "") -> None:
+        nonlocal announced
+        announced += 1
+        say(f"[{announced}/{total}] {describe(outcome)}{suffix}")
+
+    for outcome in work.outcome_list():
+        announce(outcome, " (resumed)")
+
+    def bank(task: CellTask, outcome: RunOutcome) -> None:
+        announce(outcome)
+        if on_complete is not None:
+            on_complete(work)
+
+    try:
+        workers = resolve_jobs(jobs, work.unresolved_count)
+        if workers > 1:
+            Supervisor(
+                executor, work, workers, on_complete=bank, say=say, stop=stop,
+                drill_kill_worker_after=drill_kill_worker_after,
+            ).run()
+        # one worker, or whatever a failed pool left behind
+        while not work.all_resolved():
+            if stop is not None and stop.is_set():
+                break
+            lease = work.acquire("serial", time.monotonic())
+            if lease is None:
+                break
+            task = lease.task
+            outcome = executor.run_cell(task.seed, task.plan_name, task.plan)
+            if work.complete(task.index, outcome):
+                bank(task, outcome)
+    finally:
+        if work.journal is not None:
+            work.journal.close()
+    return work

@@ -1,21 +1,33 @@
-"""Supervised worker pool for durable campaigns.
+"""Supervised worker pool for campaign and fuzz cells.
 
-The legacy parallel dispatcher (:mod:`.parallel`) treats the process
-pool as fragile: one killed worker breaks the whole pool and the
-dispatcher falls back to in-process execution.  The supervisor inverts
-that: workers are **disposable** and the pool is self-healing.
+:func:`~.queue.run_cells` hands a :class:`~.queue.DurableWorkQueue` to
+a :class:`Supervisor` whenever more than one worker is asked for.
+Workers are **disposable** and the pool is self-healing:
 
 * Each worker is a separate ``multiprocessing.Process`` with its own
-  task queue; the supervisor hands it one cell at a time under a
+  duplex pipe; the supervisor hands it one cell at a time under a
   time-bounded **lease** and the worker heartbeats while it runs, so a
-  hung cell cannot stall the campaign past its lease.
+  hung cell cannot stall the campaign past its lease.  No channel is
+  shared between workers: a worker SIGKILLed mid-send can tear only
+  its own pipe, never hold a lock that silences the others.
 * A dead worker (SIGKILLed, segfaulted, OOM-killed) or an expired
-  lease **reclaims** the cell through the durable queue — the journal
-  records the crash — and the worker is restarted with capped
-  exponential backoff.
+  lease **reclaims** the cell through the queue — a journal, if any,
+  records the crash — and the worker is restarted, with capped
+  exponential backoff once the pool has proven healthy.
 * A cell that keeps killing its workers is a **poison cell**: past the
   queue's retry cap it is quarantined with a deterministic placeholder
   outcome and the rest of the matrix proceeds.
+
+Parallelism is an optimisation, never a new failure mode.  Every
+worker death counts toward its cell's poison tally (and is journaled),
+but until some worker has returned an outcome the pool itself is
+suspect: a cell that killed a worker is not leased again, so each early
+death probes a different cell.  If a worker cannot be started, or
+workers have died on every cell left before any returned an outcome,
+the pool is broken rather than the cells.  The supervisor then hands
+its leases back, says ``worker pool failed (...)`` and returns; the
+caller finishes the queue in-process.  Once one outcome has come back,
+a cell that keeps killing its workers is quarantined as above.
 
 Workers set :data:`~repro.faults.DISPOSABLE_WORKER_ENV` so the
 ``worker-kill`` drill fault really SIGKILLs them (the service's
@@ -33,47 +45,44 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import queue as _queue
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from multiprocessing.connection import Connection, wait
+from typing import TYPE_CHECKING, Callable, List, Optional, Set
 
 from ..faults.injector import DISPOSABLE_WORKER_ENV
 from .outcome import STATUS_ERROR, RunOutcome
-from .parallel import CellTask
-from .queue import DurableWorkQueue, Lease
+
+if TYPE_CHECKING:  # the queue module imports this one
+    from .queue import CellTask, DurableWorkQueue, Lease
+
+#: worker heartbeat period, well under any lease (host time, as are
+#: all the pacing constants here — never sim time)
+HEARTBEAT_SECONDS = 0.5
+#: supervisor event-loop pacing
+POLL_SECONDS = 0.05
+#: capped exponential backoff for restarting crashed workers
+BACKOFF_BASE_SECONDS = 0.05
+BACKOFF_CAP_SECONDS = 2.0
 
 
-@dataclass
-class SupervisorConfig:
-    """Knobs of the supervised pool (all host-time, never sim-time)."""
-
-    jobs: int = 2
-    #: a cell whose worker neither heartbeats nor completes for this
-    #: long is presumed hung; its worker is killed and the cell reclaimed
-    lease_seconds: float = 60.0
-    #: worker heartbeat period (well under the lease)
-    heartbeat_seconds: float = 0.5
-    #: supervisor event-loop pacing
-    poll_seconds: float = 0.05
-    #: capped exponential backoff for restarting crashed workers
-    backoff_base_seconds: float = 0.05
-    backoff_cap_seconds: float = 2.0
-    #: chaos drill: SIGKILL one busy worker right after the Nth fresh
-    #: completion (exactly once) — self-test for lease reclaim
-    drill_kill_worker_after: Optional[int] = None
-
-
-def _worker_main(executor, worker_id: str, task_q, result_q,
-                 heartbeat_seconds: float, parent_pid: int) -> None:
-    """Worker process body: pull cells, heartbeat, return outcomes."""
+def _worker_main(executor, conn: Connection, parent_pid: int) -> None:
+    """Worker process body: pull cells, heartbeat, return outcomes, all
+    over *conn*, this worker's own pipe to the supervisor."""
     os.environ[DISPOSABLE_WORKER_ENV] = "1"
     current = {"index": None}
     stop_hb = threading.Event()
+    # heartbeat thread and main loop share the pipe; the lock is
+    # process-local, so a SIGKILL cannot leave it held for anyone else
+    send_lock = threading.Lock()
+
+    def send(message) -> None:
+        with send_lock:
+            conn.send(message)
 
     def _heartbeats() -> None:
-        while not stop_hb.wait(heartbeat_seconds):
+        while not stop_hb.wait(HEARTBEAT_SECONDS):
             if os.getppid() != parent_pid:
                 # coordinator hard-killed: die rather than linger as an
                 # orphan holding the result pipe open
@@ -81,32 +90,35 @@ def _worker_main(executor, worker_id: str, task_q, result_q,
             index = current["index"]
             if index is not None:
                 try:
-                    result_q.put(("hb", worker_id, index))
+                    send(("hb", index))
                 except Exception:
                     return
 
     threading.Thread(target=_heartbeats, daemon=True).start()
     while True:
-        try:
-            task = task_q.get(timeout=1.0)
-        except _queue.Empty:
+        if not conn.poll(1.0):
             if os.getppid() != parent_pid:
                 os._exit(0)
             continue
+        try:
+            task = conn.recv()
+        except EOFError:
+            task = None  # the supervisor closed the pipe
         if task is None:
             stop_hb.set()
             return
         current["index"] = task.index
         try:
             outcome = executor.run_cell(task.seed, task.plan_name, task.plan)
-        except BaseException as err:  # noqa: BLE001 - same contract as
-            # the pool workers: always hand back *an* outcome
+        except BaseException as err:  # noqa: BLE001 - a worker must
+            # always hand back *an* outcome; anything escaping run_cell's
+            # own isolation becomes an error record for this cell alone
             outcome = RunOutcome(
                 seed=task.seed, plan=task.plan_name, status=STATUS_ERROR,
                 error=f"worker: {type(err).__name__}: {err}",
             )
         current["index"] = None
-        result_q.put(("done", worker_id, (task.index, outcome)))
+        send(("done", task.index, outcome))
 
 
 @dataclass
@@ -115,11 +127,10 @@ class _Slot:
 
     worker_id: str
     proc: Optional[multiprocessing.Process] = None
-    task_q: Optional[object] = None
+    conn: Optional[Connection] = None
     busy: Optional[Lease] = None
     restarts: int = 0
     respawn_at: float = 0.0
-    kills: int = field(default=0)  # workers this slot lost (stats)
 
 
 class Supervisor:
@@ -130,24 +141,33 @@ class Supervisor:
         self,
         executor,
         work: DurableWorkQueue,
-        config: SupervisorConfig,
+        jobs: int,
         *,
         on_complete: Optional[Callable[[CellTask, RunOutcome], None]] = None,
         say: Optional[Callable[[str], None]] = None,
         stop: Optional[threading.Event] = None,
+        drill_kill_worker_after: Optional[int] = None,
     ) -> None:
         self.executor = executor
         self.work = work
-        self.config = config
         self.on_complete = on_complete
         self._say = say or (lambda message: None)
         self._stop = stop
+        #: chaos drill: SIGKILL one busy worker right after the Nth
+        #: fresh completion (exactly once) — self-test for lease reclaim
+        self._drill_after = drill_kill_worker_after
         self._mp = multiprocessing.get_context()
-        self._result_q = self._mp.Queue()
         self._slots: List[_Slot] = [
-            _Slot(worker_id=f"w{i}") for i in range(max(1, config.jobs))
+            _Slot(worker_id=f"w{i}") for i in range(max(1, jobs))
         ]
         self._completed = 0
+        #: a worker has returned an outcome, so the pool can run cells
+        self._healthy = False
+        #: cells that killed a worker before the pool proved healthy;
+        #: not leased again until it does
+        self._early_killers: Set[int] = set()
+        #: why the pool was given up on; set -> run() hands back
+        self._pool_error: Optional[str] = None
         self._drill_fired = False
         #: (worker_id, cell index) whose in-flight result the drill
         #: invalidated — see _maybe_drill_kill
@@ -156,7 +176,8 @@ class Supervisor:
     # -- lifecycle -----------------------------------------------------------
 
     def run(self) -> None:
-        """Block until every cell is resolved (or *stop* is set)."""
+        """Block until every cell is resolved, *stop* is set, or the
+        pool fails (then the caller finishes the queue in-process)."""
         try:
             while not self.work.all_resolved():
                 if self._stop is not None and self._stop.is_set():
@@ -165,7 +186,15 @@ class Supervisor:
                     return
                 now = time.monotonic()
                 self._reap(now)
-                self._spawn_and_assign(now)
+                if self._pool_error is None:
+                    self._spawn_and_assign(now)
+                if self._pool_error is not None:
+                    self._release_leases()
+                    self._say(
+                        f"worker pool failed ({self._pool_error}); remaining "
+                        "cells were completed in-process"
+                    )
+                    return
                 self._drain_results(block=True)
         finally:
             self._shutdown()
@@ -173,47 +202,45 @@ class Supervisor:
     # -- event handling ------------------------------------------------------
 
     def _drain_results(self, block: bool) -> None:
-        first = True
-        while True:
-            try:
-                message = self._result_q.get(
-                    timeout=self.config.poll_seconds if (block and first) else 0
-                )
-            except _queue.Empty:
-                return
-            except Exception:
-                # a SIGKILLed worker can leave a torn pickle in the
-                # pipe; drop it — the lease machinery re-runs the cell
-                first = False
-                continue
-            first = False
-            kind, worker_id, payload = message
-            if kind == "hb":
-                self.work.heartbeat(payload, time.monotonic())
-            elif kind == "done":
-                if (worker_id, payload[0]) == self._drill_dropped:
+        live = {slot.conn: slot for slot in self._slots if slot.conn is not None}
+        for conn in wait(list(live), timeout=POLL_SECONDS if block else 0):
+            slot = live[conn]
+            while slot.conn is conn and conn.poll():
+                try:
+                    message = conn.recv()
+                except Exception:
+                    # the worker died, perhaps mid-send leaving a torn
+                    # pickle: _reap reclaims its lease and re-runs the cell
+                    slot.proc.join(POLL_SECONDS)
+                    break
+                if message[0] == "hb":
+                    self.work.heartbeat(message[1], time.monotonic())
+                elif (slot.worker_id, message[1]) == self._drill_dropped:
                     self._drill_dropped = None
-                    continue
-                self._on_done(worker_id, *payload)
+                else:
+                    self._on_done(slot, message[1], message[2])
 
-    def _on_done(self, worker_id: str, index: int, outcome: RunOutcome) -> None:
-        for slot in self._slots:
-            if slot.worker_id == worker_id and slot.busy is not None \
-                    and slot.busy.task.index == index:
-                slot.busy = None
-                slot.restarts = 0  # a healthy completion resets backoff
-                break
+    def _on_done(self, slot: _Slot, index: int, outcome: RunOutcome) -> None:
+        self._healthy = True
+        if slot.busy is not None and slot.busy.task.index == index:
+            slot.busy = None
+            slot.restarts = 0  # a healthy completion resets backoff
         task = self.work.task_for(index)
-        if self.work.complete(index, outcome):
+        fresh = self.work.complete(index, outcome)
+        if slot.busy is None and slot.conn is not None \
+                and not (self._stop is not None and self._stop.is_set()):
+            # the worker's next cell goes out before on_complete's
+            # checkpoint write, so the worker never waits on the disk
+            self._assign(slot, time.monotonic())
+        if fresh:
             self._completed += 1
             if self.on_complete is not None:
                 self.on_complete(task, outcome)
             self._maybe_drill_kill()
 
     def _maybe_drill_kill(self) -> None:
-        cfg = self.config
-        if (cfg.drill_kill_worker_after is None or self._drill_fired
-                or self._completed < cfg.drill_kill_worker_after):
+        if (self._drill_after is None or self._drill_fired
+                or self._completed < self._drill_after):
             return
         busy = [s for s in self._slots
                 if s.busy is not None and s.proc is not None and s.proc.is_alive()]
@@ -259,9 +286,11 @@ class Supervisor:
             # pre-kill result racing in after this point is identical to
             # a re-run, so accepting it is harmless)
             self._drill_dropped = None
-        lease = slot.busy
+        lease, slot.busy = slot.busy, None
         if lease is not None:
             key = f"{lease.task.seed}/{lease.task.plan_name}"
+            if not self._healthy:
+                self._early_killers.add(lease.task.index)
             quarantined = self.work.record_crash(lease.task.index)
             if quarantined:
                 self._say(
@@ -277,40 +306,68 @@ class Supervisor:
                     f"worker {slot.worker_id} {why} running cell {key}; "
                     "lease reclaimed"
                 )
-            slot.busy = None
+        left = self.work.unresolved_count
+        if not self._healthy and left and left == sum(
+            1 for index in self._early_killers if not self.work.resolved(index)
+        ):
+            self._pool_error = (
+                f"workers died on all {left} cell(s) left before any "
+                f"returned a result; last: {slot.worker_id} {why}"
+            )
         if slot.proc is not None:
             slot.proc.join()
         slot.proc = None
-        slot.task_q = None
-        slot.kills += 1
+        slot.conn.close()
+        slot.conn = None
+        if lease is not None and not self._healthy:
+            # the respawn probes a different cell, so there is no crash
+            # loop to damp, and a broken pool fails fast
+            return
         slot.restarts += 1
         backoff = min(
-            self.config.backoff_cap_seconds,
-            self.config.backoff_base_seconds * (2 ** min(slot.restarts - 1, 16)),
+            BACKOFF_CAP_SECONDS,
+            BACKOFF_BASE_SECONDS * (2 ** min(slot.restarts - 1, 16)),
         )
         slot.respawn_at = now + backoff
 
     def _spawn_and_assign(self, now: float) -> None:
         for slot in self._slots:
             if slot.proc is None and now >= slot.respawn_at and self.work.has_pending():
-                self._spawn(slot)
-            if slot.proc is None or slot.busy is not None:
-                continue
-            lease = self.work.acquire(slot.worker_id, now)
-            if lease is None:
-                continue
-            slot.busy = lease
-            slot.task_q.put(lease.task)
+                try:
+                    self._spawn(slot)
+                except Exception as err:  # noqa: BLE001 - e.g. an
+                    # unpicklable executor or a daemonic parent process
+                    self._pool_error = f"{type(err).__name__}: {err}"
+                    return
+            if slot.proc is not None and slot.busy is None:
+                self._assign(slot, now)
+
+    def _assign(self, slot: _Slot, now: float) -> None:
+        lease = self.work.acquire(
+            slot.worker_id, now,
+            skip=() if self._healthy else self._early_killers,
+        )
+        if lease is None:
+            return
+        slot.busy = lease
+        try:
+            slot.conn.send(lease.task)
+        except OSError:
+            pass  # the worker just died: _reap reclaims the lease
 
     def _spawn(self, slot: _Slot) -> None:
-        slot.task_q = self._mp.Queue()
-        slot.proc = self._mp.Process(
-            target=_worker_main,
-            args=(self.executor, slot.worker_id, slot.task_q, self._result_q,
-                  self.config.heartbeat_seconds, os.getpid()),
+        conn, child = self._mp.Pipe()
+        proc = self._mp.Process(
+            target=_worker_main, args=(self.executor, child, os.getpid()),
             daemon=True,
         )
-        slot.proc.start()
+        try:
+            proc.start()
+        finally:
+            # the worker's end lives in the worker only, so its death
+            # reads as end-of-file here
+            child.close()
+        slot.conn, slot.proc = conn, proc
 
     # -- shutdown ------------------------------------------------------------
 
@@ -323,12 +380,10 @@ class Supervisor:
 
     def _shutdown(self) -> None:
         for slot in self._slots:
-            if slot.proc is None:
-                continue
-            if slot.proc.is_alive() and slot.task_q is not None:
+            if slot.proc is not None and slot.proc.is_alive():
                 try:
-                    slot.task_q.put(None)
-                except Exception:
+                    slot.conn.send(None)
+                except OSError:
                     pass
         for slot in self._slots:
             if slot.proc is None:
@@ -338,4 +393,5 @@ class Supervisor:
                 slot.proc.kill()
                 slot.proc.join()
             slot.proc = None
-        self._result_q.close()
+            slot.conn.close()
+            slot.conn = None

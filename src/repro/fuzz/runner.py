@@ -4,15 +4,15 @@ One fuzz *cell* = generate program ``seed`` from the grammar, run the
 selected oracles, and fold what happened into a
 :class:`~repro.campaign.outcome.RunOutcome` — the same crash-isolated,
 JSON-round-trippable record campaign cells use.  That lets the whole
-campaign execution machinery carry fuzzing unchanged:
+campaign execution machinery carry fuzzing unchanged: cells are leased
+items of a :class:`~repro.campaign.queue.DurableWorkQueue` drained by
+:func:`~repro.campaign.queue.run_cells`, so
 
-* ``jobs > 1`` dispatches cells on the campaign worker pool
-  (:func:`~repro.campaign.parallel.run_cells_parallel`);
-* a journal turns the session durable: cells become leased queue items
-  (:class:`~repro.campaign.queue.DurableWorkQueue`) run by supervised
-  disposable workers, and a generated program that kills its worker
-  repeatedly is quarantined as a poison cell instead of stalling the
-  session.
+* ``jobs > 1`` runs them on supervised disposable workers, and a
+  generated program that kills its worker repeatedly is quarantined as
+  a poison cell instead of stalling the session;
+* a journal makes the session durable: ``--resume`` continues exactly
+  where a killed session stopped.
 
 The coordinator then triages outcomes (:mod:`.triage`), optionally
 reduces one reproducer per signature (:mod:`.reduce`), and emits an
@@ -34,7 +34,7 @@ from ..campaign.outcome import (
     STATUS_OK,
     RunOutcome,
 )
-from ..campaign.parallel import CellTask, resolve_jobs, run_cells_parallel
+from ..campaign.queue import CellTask, run_cells
 from ..errors import MiniLangError
 from ..minilang import parse, validate
 from .generator import (
@@ -76,7 +76,8 @@ class FuzzConfig:
     reduce: bool = True
     #: parallel cell workers, as in campaigns (int or ``"auto"``)
     jobs: "int | str" = 1
-    #: journal path; set -> durable queue + supervised workers
+    #: journal path; set -> every cell transition is journaled and
+    #: ``resume`` continues a killed session exactly
     journal: Optional[str] = None
     resume: bool = False
     lease_seconds: float = 60.0
@@ -447,6 +448,39 @@ def _triage_outcomes(
     return bank
 
 
+def _journal_meta(config: FuzzConfig) -> Dict[str, Any]:
+    """What a resumed journal must have been written for: the sweep and
+    everything that shapes a cell's outcome."""
+    return {
+        "kind": "fuzz",
+        "seeds": config.seeds,
+        "seed_base": config.seed_base,
+        "jobs_every": config.jobs_every,
+        "grammar_version": GRAMMAR_VERSION,
+        **config.reproducer(config.seed_base)["config"],
+    }
+
+
+def _describe(outcome: RunOutcome) -> str:
+    """One progress line per program.  ``RunOutcome.describe`` would
+    count the piggybacked fuzz:meta record as a violation; this reports
+    oracle findings only."""
+    findings = sum(
+        1
+        for v in outcome.violations
+        if v.get("class", "").startswith("fuzz:")
+        and v.get("class") != _META_CLASS
+    )
+    line = f"seed={outcome.seed} status={outcome.status}"
+    if findings:
+        line += f" findings={findings}"
+    if outcome.failure:
+        line += f" failure={outcome.failure!r}"
+    if outcome.error:
+        line += " error=" + repr(outcome.error.splitlines()[0])
+    return line
+
+
 def run_fuzz(
     config: FuzzConfig,
     progress: Optional[Callable[[str], None]] = None,
@@ -460,53 +494,19 @@ def run_fuzz(
         CellTask(index=i, seed=config.seed_base + i, plan_name=FUZZ_PLAN, plan=None)
         for i in range(config.seeds)
     ]
-    total = len(tasks)
-    completed: Dict[int, RunOutcome] = {}
-    announced = 0
-
-    def bank_cell(task: CellTask, outcome: RunOutcome) -> None:
-        nonlocal announced
-        completed[task.index] = outcome
-        announced += 1
-        # describe() counts the piggybacked fuzz:meta record as a
-        # violation; report oracle findings only
-        findings = sum(
-            1
-            for v in outcome.violations
-            if v.get("class", "").startswith("fuzz:")
-            and v.get("class") != _META_CLASS
-        )
-        line = f"seed={outcome.seed} status={outcome.status}"
-        if findings:
-            line += f" findings={findings}"
-        if outcome.failure:
-            line += f" failure={outcome.failure!r}"
-        if outcome.error:
-            line += " error=" + repr(outcome.error.splitlines()[0])
-        say(f"[{announced}/{total}] {line}")
-
-    if config.journal:
-        outcomes = _run_durable(executor, tasks, config, bank_cell, say, stop)
-    else:
-        jobs = resolve_jobs(config.jobs, total)
-        if jobs > 1:
-            _, pool_error = run_cells_parallel(
-                executor, tasks, jobs, bank_cell, stop=stop
-            )
-            if pool_error is not None:
-                say(
-                    f"worker pool failed ({pool_error}); remaining cells "
-                    "were completed in-process"
-                )
-        else:
-            for task in tasks:
-                if stop is not None and stop.is_set():
-                    break
-                bank_cell(
-                    task, executor.run_cell(task.seed, task.plan_name, task.plan)
-                )
-    if not config.journal:
-        outcomes = [completed[i] for i in sorted(completed)]
+    work = run_cells(
+        executor, tasks, _journal_meta(config),
+        jobs=config.jobs,
+        journal=config.journal,
+        resume=config.resume,
+        lease_seconds=config.lease_seconds,
+        poison_retries=config.poison_retries,
+        describe=_describe,
+        progress=progress,
+        stop=stop,
+    )
+    # canonical order, quarantined cells included
+    outcomes = work.outcome_list()
     bank = _triage_outcomes(outcomes, config)
     if config.reduce and bank.entries:
         _reduce_bank(bank, config, say, stop=stop)
@@ -515,94 +515,8 @@ def run_fuzz(
         outcomes=outcomes,
         bank=bank,
         wall_seconds=time.perf_counter() - started,
-        interrupted=len(outcomes) < total,
+        interrupted=len(outcomes) < len(tasks),
     )
-
-
-def _run_durable(
-    executor: FuzzCellExecutor,
-    tasks: List[CellTask],
-    config: FuzzConfig,
-    bank_cell: Callable[[CellTask, RunOutcome], None],
-    say: Callable[[str], None],
-    stop=None,
-) -> List[RunOutcome]:
-    """Durable path: journaled queue + supervised workers, exactly the
-    campaign service's machinery (poison programs end up quarantined)."""
-    import os
-
-    from ..campaign.journal import Journal, replay_journal
-    from ..campaign.queue import DurableWorkQueue
-    from ..campaign.supervisor import Supervisor, SupervisorConfig
-    from ..errors import AnalysisError
-
-    replay = None
-    fresh = True
-    if config.resume and os.path.exists(config.journal):
-        try:
-            replay = replay_journal(config.journal)
-        except AnalysisError as err:
-            say(f"ignoring unusable journal: {err}; starting cold")
-        else:
-            fresh = False
-            if replay.truncated:
-                say(
-                    "journal tail was damaged (interrupted write?); "
-                    f"dropped {replay.dropped} trailing line(s)"
-                )
-    meta = {
-        "kind": "fuzz",
-        "grammar_version": GRAMMAR_VERSION,
-        "seeds": config.seeds,
-        "seed_base": config.seed_base,
-        "oracles": list(config.oracles),
-    }
-    journal = Journal(config.journal, meta, fresh=fresh)
-    work = DurableWorkQueue(
-        tasks,
-        journal,
-        lease_seconds=config.lease_seconds,
-        poison_retries=config.poison_retries,
-    )
-    if replay is not None:
-        work.restore(replay, warn=say)
-    for task in tasks:
-        if work.resolved(task.index):
-            resumed = work.outcomes.get(task.index)
-            if resumed is None:
-                resumed = work.quarantined.get(task.index)
-            bank_cell(task, resumed)
-    try:
-        jobs = resolve_jobs(config.jobs, work.unresolved_count)
-        if jobs > 1:
-            supervisor = Supervisor(
-                executor,
-                work,
-                SupervisorConfig(
-                    jobs=jobs, lease_seconds=config.lease_seconds
-                ),
-                on_complete=bank_cell,
-                say=say,
-                stop=stop,
-            )
-            supervisor.run()
-        else:
-            while not work.all_resolved():
-                if stop is not None and stop.is_set():
-                    break
-                lease = work.acquire("serial", time.monotonic())
-                if lease is None:
-                    break
-                outcome = executor.run_cell(
-                    lease.task.seed, lease.task.plan_name, lease.task.plan
-                )
-                if work.complete(lease.task.index, outcome):
-                    bank_cell(lease.task, outcome)
-    finally:
-        work.journal.close()
-    # canonical order, quarantined cells included — the supervisor's
-    # completion callbacks are an announcement stream, not the artifact
-    return work.outcome_list()
 
 
 # keep the public name list tidy for ``from repro.fuzz import *`` users

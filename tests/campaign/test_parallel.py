@@ -226,3 +226,15 @@ class TestCliJobs:
         code = main(["campaign", racy_file, "--jobs", "zero"])
         assert code == 2
         assert "--jobs" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["fuzz", "--jobs", "zero"],
+        ["serve", "{spool}", "--jobs", "0"],
+    ])
+    def test_bad_jobs_value_rejected_by_fuzz_and_serve(self, argv, tmp_path, capsys):
+        spool = tmp_path / "spool"
+        code = main([arg.format(spool=spool) for arg in argv])
+        assert code == 2
+        assert "error: --jobs must be a positive integer or 'auto'" \
+            in capsys.readouterr().err
+        assert not spool.exists()
